@@ -471,7 +471,10 @@ let extended_flag =
            ~doc:"Parse the extended dialect: intersection (r&s), complement \
                  ((?~r)) and the four lookarounds. Patterns the mid-end \
                  cannot rewrite for the ISA run on the derivative engine \
-                 (host execution); none are rejected as unsupported.")
+                 (host execution: one pass over the input per look-free \
+                 lookaround body, one derivative step per byte each \
+                 attempt reads, nested lookaround bodies per position); \
+                 none are rejected as unsupported.")
 
 let engine_arg =
   Arg.(value & opt (enum [ ("plan", "plan"); ("derivative", "derivative") ])
@@ -479,8 +482,7 @@ let engine_arg =
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Execution engine: $(b,plan) (the simulated DSA, default) or \
                  $(b,derivative) (the Brzozowski-derivative oracle, host \
-                 execution — worst-case linear per start position, \
-                 identical spans).")
+                 execution, no backtracking, identical spans).")
 
 let cmd =
   Cmd.v

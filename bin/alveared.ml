@@ -184,9 +184,12 @@ let extended_arg =
            ~doc:"Accept the extended pattern dialect (intersection &, \
                  complement (?~r), lookarounds). Patterns the mid-end \
                  cannot rewrite for the ISA are served by the derivative \
-                 engine (worst-case linear per start position, so they \
-                 pass the admission gate by construction). Advertised via \
-                 the +extended suffix on the Health version string.")
+                 engine, which never backtracks (one pass over the input \
+                 per look-free lookaround body, one derivative step per \
+                 byte each attempt reads; nested lookaround bodies are \
+                 evaluated per position), so they pass the admission \
+                 gate by construction. Advertised via the +extended \
+                 suffix on the Health version string.")
 
 let quiet_arg =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No startup/shutdown chatter.")

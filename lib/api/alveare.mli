@@ -34,9 +34,11 @@ module Engine : sig
 end
 
 (** The derivative engine: the semantic oracle for the extended
-    operators (intersection, complement, lookarounds) — worst-case
-    linear per start position, differentially tested span-for-span
-    against the plan executor on the shared POSIX-ERE fragment. *)
+    operators (intersection, complement, lookarounds) — no
+    backtracking: one O(n) pass per look-free lookaround body per scan,
+    one derivative step per byte an attempt reads — differentially
+    tested span-for-span against the plan executor on the shared
+    POSIX-ERE fragment. *)
 module Derivative : sig
   module Regex = Alveare_derivative.Regex
   module Engine = Alveare_derivative.Engine

@@ -4,8 +4,13 @@
     intersection, complement and lookarounds natively and reproduces
     PCRE leftmost-first spans on the POSIX-ERE fragment (it is
     differentially tested span-for-span against the plan executor).
-    Worst-case linear work per start position over the interned state
-    space; no backtracking. *)
+    No backtracking. Cost of one scan ({!find_all}, or one {!search})
+    over n bytes: each look-free lookaround body is decided at every
+    position by a single O(n) pass, after which each query is one load;
+    every start position tried costs one derivative step per byte the
+    attempt reads, and when the pattern cannot match the empty string,
+    starts whose byte cannot begin a match are skipped. A look-bearing
+    (nested) lookaround body is still evaluated per position. *)
 
 open Alveare_frontend
 module Semantics = Alveare_engine.Semantics

@@ -28,8 +28,9 @@
 
    The [null] field caches nullability and the arena caches split /
    derivative results — but only for [look_free] nodes: lookarounds make
-   all three position-dependent, so look-bearing nodes are evaluated
-   through per-search memo tables in {!Engine}. *)
+   all three position-dependent, so look-bearing nodes are memoised in
+   {!Engine}, and a look-free lookaround body is decided by one truth
+   table per scan (see there). *)
 
 open Alveare_frontend
 
@@ -64,11 +65,16 @@ type key =
   | KRep of int * int * int option * bool
   | KLook of bool * bool * int
 
+(* The split and derivative caches are dense, indexed by node id (ids
+   are allocated consecutively): a cached derivative is two array
+   loads, no hashing — the derivative engine's inner loop. *)
 type t = {
   cons : (key, node) Hashtbl.t;
   mutable next_id : int;
-  split_cache : (int, node * bool * node) Hashtbl.t; (* look-free only *)
-  deriv_cache : (int * char, node) Hashtbl.t;        (* look-free only *)
+  mutable splits : (node * bool * node) option array; (* look-free only *)
+  mutable derivs : node array array;
+      (* look-free only: 256 slots per node, [||] before its first
+         derivative, [unknown] in slots not yet computed *)
   lock : Mutex.t;
       (* serialises interning and cache access so one compiled pattern
          can be scanned from several domains *)
@@ -77,14 +83,27 @@ type t = {
 let create () =
   { cons = Hashtbl.create 64;
     next_id = 0;
-    split_cache = Hashtbl.create 64;
-    deriv_cache = Hashtbl.create 64;
+    splits = Array.make 64 None;
+    derivs = Array.make 64 [||];
     lock = Mutex.create () }
 
 let size a = a.next_id
 let lock a = a.lock
-let split_cache a = a.split_cache
-let deriv_cache a = a.deriv_cache
+
+(* Never interned: marks a derivative slot not computed yet. *)
+let unknown = { id = -1; desc = Bot; look_free = true; null = false }
+
+let find_split a n = a.splits.(n.id)
+let add_split a n split = a.splits.(n.id) <- Some split
+
+let find_deriv a n c =
+  let row = a.derivs.(n.id) in
+  if Array.length row = 0 then unknown else Array.unsafe_get row (Char.code c)
+
+let add_deriv a n c d =
+  if Array.length a.derivs.(n.id) = 0 then
+    a.derivs.(n.id) <- Array.make 256 unknown;
+  a.derivs.(n.id).(Char.code c) <- d
 
 let key_of = function
   | Bot -> KBot
@@ -129,6 +148,11 @@ let mk a desc =
     in
     a.next_id <- a.next_id + 1;
     Hashtbl.add a.cons key n;
+    let cap = Array.length a.splits in
+    if a.next_id > cap then begin
+      a.splits <- Array.append a.splits (Array.make cap None);
+      a.derivs <- Array.append a.derivs (Array.make cap [||])
+    end;
     n
 
 (* --- Smart constructors ------------------------------------------------- *)
@@ -251,15 +275,33 @@ let charset_inter (x : Charset.t) (y : Charset.t) : Charset.t =
   in
   Charset.of_ranges (List.rev (go [] (Charset.ranges x) (Charset.ranges y)))
 
-(* Bytes that can start a nonempty match — an over-approximation used by
-   {!Enumerate} to bound the byte fan-out per derivative state. Only
-   meaningful on look-free nodes (the [null] fields are exact there). *)
+(* Whether [n] can match the empty string at SOME position — exact on
+   look-free nodes (their [null] field), a sound over-approximation on
+   look-bearing ones: a lookaround may hold, and a complement of a
+   look-bearing node may be nullable wherever its body is not. *)
+let rec may_null (n : node) : bool =
+  if n.look_free then n.null
+  else
+    match n.desc with
+    | Bot | Chars _ -> false
+    | Eps | Look _ | Not _ -> true
+    | Cat (x, y) -> may_null x && may_null y
+    | Alt xs -> List.exists may_null xs
+    | And xs -> List.for_all may_null xs
+    | Rep (_, 0, _, _) -> true
+    | Rep (x, _, _, _) -> may_null x
+
+(* Bytes that can start a nonempty match, at any position — an
+   over-approximation, sound on look-bearing nodes too: a lookaround is
+   zero-width (it contributes no byte) and only narrows where its
+   neighbours match. {!Enumerate} bounds its byte fan-out with it and
+   {!Engine} builds its start-byte skip table from it. *)
 let rec first_bytes (n : node) : Charset.t =
   match n.desc with
   | Bot | Eps | Look _ -> Charset.empty
   | Chars s -> s
   | Cat (x, y) ->
-    if x.null then Charset.union (first_bytes x) (first_bytes y)
+    if may_null x then Charset.union (first_bytes x) (first_bytes y)
     else first_bytes x
   | Alt xs ->
     List.fold_left (fun acc x -> Charset.union acc (first_bytes x))
@@ -268,6 +310,22 @@ let rec first_bytes (n : node) : Charset.t =
     List.fold_left (fun acc x -> charset_inter acc (first_bytes x)) full_set xs
   | Not _ -> full_set
   | Rep (x, _, _, _) -> first_bytes x
+
+(* --- Reversal ------------------------------------------------------------ *)
+
+(* A look-free node matching exactly the reversed strings of [n]. It
+   serves membership only — [Alt] order (priority) is not meaningful on
+   the result — which is all a lookahead needs: [(?=b)] holds at [p]
+   iff Σ*·rev(b) accepts the reversed suffix input[p..n). *)
+let rec reverse a (n : node) : node =
+  match n.desc with
+  | Bot | Eps | Chars _ -> n
+  | Cat (x, y) -> cat a (reverse a y) (reverse a x)
+  | Alt xs -> alt a (List.map (reverse a) xs)
+  | And xs -> inter a (List.map (reverse a) xs)
+  | Not x -> neg a (reverse a x)
+  | Rep (x, lo, hi, greedy) -> rep a (reverse a x) lo hi greedy
+  | Look _ -> invalid_arg "Derivative.Regex.reverse: lookaround"
 
 (* --- Printing ------------------------------------------------------------ *)
 

@@ -5,7 +5,8 @@
     space finite) and memoises split/derivative results by node id —
     but only for [look_free] nodes: lookarounds make nullability,
     splits and derivatives position-dependent, so look-bearing nodes
-    are evaluated through per-search tables in {!Engine}.
+    are memoised in {!Engine}, and each look-free lookaround body is
+    decided by one truth table per scan.
 
     Every constructor law preserves PCRE leftmost-first priority, not
     just language — see the implementation header for the discipline
@@ -65,16 +66,36 @@ val pred_opt : int option -> int option
 val of_ast : t -> Ast.t -> node
 (** Translate a (possibly extended) frontend AST. *)
 
-val split_cache : t -> (int, node * bool * node) Hashtbl.t
-val deriv_cache : t -> (int * char, node) Hashtbl.t
+(** Position-independent caches for LOOK-FREE nodes, indexed by node
+    id. The arena lock must be held by the caller. *)
+
+val find_split : t -> node -> (node * bool * node) option
+val add_split : t -> node -> node * bool * node -> unit
+
+val unknown : node
+(** A node never interned: what {!find_deriv} returns for a derivative
+    not cached yet (compare with [==]). *)
+
+val find_deriv : t -> node -> char -> node
+val add_deriv : t -> node -> char -> node -> unit
 
 val full_set : Charset.t
 (** All 256 bytes. *)
 
 val charset_inter : Charset.t -> Charset.t -> Charset.t
 
+val may_null : node -> bool
+(** Whether the node can match the empty string at some position:
+    exact on look-free nodes, a sound over-approximation on
+    look-bearing ones. *)
+
 val first_bytes : node -> Charset.t
-(** Over-approximation of the bytes that can start a nonempty match.
-    Only meaningful on look-free nodes. *)
+(** Over-approximation of the bytes that can start a nonempty match at
+    any position; sound on look-bearing nodes too. *)
+
+val reverse : t -> node -> node
+(** A look-free node whose language is the reversal of the argument's
+    — for membership only, priority is not preserved. The arena lock
+    must be held. Raises [Invalid_argument] on a look-bearing node. *)
 
 val pp : node Fmt.t

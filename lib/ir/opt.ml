@@ -37,17 +37,16 @@
 
    Quantifiers
    - repeat coalescing: an adjacent repetition and atom (or two
-     repetitions) of the same body with a compatible greediness add
-     their counters — `aa*` => `a+`, `x{1,2}x{1,3}` => `x{2,5}`.
+     repetitions) of the same fixed-width body with a compatible
+     greediness add their counters — `aa*` => `a+`, `x{1,2}x{1,3}` =>
+     `x{2,5}`.
    - nest fusion: `(x{a,b}){n,m}` => `x{n·a,m·b}` whenever the fused
-     counting range is contiguous and the backtracking orders compose
-     (same greediness, or one side exactly counted). Contiguity: the
-     totals are the union over k in [n,m] of [k·a, k·b]; adjacent
-     intervals touch iff (n+1)·a <= n·b + 1 (the k = n gap is the
-     widest). This subsumes the classic collapses `(x{0,}){0,}` =>
+     counting range yields the same spans and the backtracking orders
+     compose (same greediness, or one side exactly counted) — see
+     [fuse_nest]. This subsumes the classic collapses `(x{0,}){0,}` =>
      `x*`, `(x+)+` => `x+`, `(x{0,1}){0,}` => `x*`, `(x{2}){3}` =>
-     `x{6}` — and
-     correctly refuses `(x{2}){1,3}` (even totals only, not x{2,6}).
+     `x{6}` — and refuses `(x{2}){1,3}` (even totals only, not x{2,6})
+     and `(a{3,4}){2,}` (greedy iterations strand a short remainder).
    - repetition rolling (the inverse of unfolding, targeting the
      hardware counter): a concatenation that repeats the same factor k
      times back-to-back rolls into an exact counted repeat when the
@@ -313,7 +312,32 @@ let rec factor_suffixes rewrite_branches branches =
 (* Quantifier rules. *)
 
 (* Adjacent repeats of one atom merge counters when their backtracking
-   orders compose (same greediness, or one side exactly counted). *)
+   orders compose (same greediness, or one side exactly counted) and
+   every match of the atom has the same length. A body with matches of
+   several lengths does not merge: when the first loop can iterate no
+   further, `x{2,}x{2,}` backtracks into its last iteration's other
+   choices while `x{4,}` just exits — `([ab]|ac){2,}` twice over
+   "acaaacaa" spans [0,8) where the merged `([ab]|ac){4,}` spans [0,5). *)
+let rec fixed_width = function
+  | Ast.Empty -> Some 0
+  | Ast.Char _ | Ast.Class _ | Ast.Any -> Some 1
+  | Ast.Group x -> fixed_width x
+  | Ast.Concat xs ->
+    List.fold_left
+      (fun acc x ->
+         match acc, fixed_width x with
+         | Some a, Some b -> Some (a + b)
+         | _ -> None)
+      (Some 0) xs
+  | Ast.Alt (x :: xs) ->
+    let w = fixed_width x in
+    if Option.is_some w && List.for_all (fun y -> fixed_width y = w) xs then w
+    else None
+  | Ast.Repeat (x, q) when q.Ast.qmax = Some q.Ast.qmin ->
+    Option.map (fun w -> w * q.Ast.qmin) (fixed_width x)
+  | Ast.Alt [] | Ast.Repeat _ | Ast.Inter _ | Ast.Negate _ | Ast.Look _ ->
+    None
+
 let view_repeat = function
   | Ast.Repeat (x, q) -> (x, q)
   | atom -> (atom, { Ast.qmin = 1; qmax = Some 1; greedy = true })
@@ -337,6 +361,7 @@ let coalesce_repeats parts =
          ("ee" -> e{2}) would break 4-char AND packing and pessimise *)
       if (is_repeat a || is_repeat b)
          && Ast.equal xa xb
+         && Option.is_some (fixed_width xa)
          && (qa.greedy = qb.greedy || exact qa || exact qb)
       then go (Ast.Repeat (xa, add_bounds qa qb) :: rest)
       else a :: go (b :: rest)
@@ -344,15 +369,23 @@ let coalesce_repeats parts =
   in
   go parts
 
-(* (x{a,b}){n,m} => x{n·a,m·b} when the fused counting range is
-   contiguous and the backtracking orders compose. Totals are the union
-   over k in [n,m] of [k·a, k·b]; the widest gap is between k = n and
-   k = n+1, so contiguity is exactly (n+1)·a <= n·b + 1. An unbounded
-   inner bound makes every k >= max(n,1) interval reach infinity; with
-   n = 0 the isolated total 0 additionally needs a <= 1. Greediness:
-   an exactly-counted side has no counting choice, so the other side's
-   preference governs; otherwise both must agree. Refuses
-   `(x{2}){1,3}` (even totals only) and `(a{2})+`. *)
+(* (x{a,b}){n,m} => x{n·a,m·b} when the fused counting range yields the
+   same spans and the backtracking orders compose. Greediness: an
+   exactly-counted side has no counting choice, so the other side's
+   preference governs; otherwise both must agree. Counts:
+   - exact outer (n = m): every total in [n·a, n·b] is reachable and
+     the backtracker, unable to stop early, tries them largest first;
+   - unbounded inner: every k >= max(n,1) reaches any total from k·a
+     up; with n = 0 the isolated total 0 additionally needs a <= 1, and
+     so does a lazy ranged outer — it adds a whole iteration (a more)
+     before growing the last one, so `(x{3,}?){2,}?` tries 6, 9, 12 ...
+     before 7 where `x{6,}?` tries 6, 7, 8 ...;
+   - bounded inner, ranged outer: needs a <= 1. For a >= 2 either the
+     totals have gaps (`(x{2}){1,3}` matches even counts only) or the
+     backtracker accepts as soon as one more iteration fails, leaving a
+     remainder shorter than a behind even when shorter earlier
+     iterations would have consumed it — `(a{3,4}){2,}` takes 16 of 18
+     a's (4+4+4+4, then 2 < 3 stops) where `a{6,}` takes all 18. *)
 let fuse_nest x (qo : Ast.quant) =
   match x with
   | Ast.Repeat (inner, qi) ->
@@ -368,11 +401,11 @@ let fuse_nest x (qo : Ast.quant) =
       match qi.Ast.qmax, qo.Ast.qmax with
       | Some 0, _ | _, Some 0 -> None (* normalisation territory *)
       | None, _ ->
-        if n = 0 && a > 1 then None (* {0} .. [a,inf): gap below a *)
+        if a > 1 && (n = 0 || not (qo.Ast.greedy || exact qo)) then None
         else fused None
       | Some b, Some m when n = m -> fused (Some (n * b))
       | Some b, outer ->
-        if (n + 1) * a > (n * b) + 1 then None
+        if a > 1 then None
         else fused (match outer with Some m -> Some (m * b) | None -> None)
     end
   | _ -> None
@@ -509,45 +542,58 @@ let max_passes = 8
 
 (* The scanner vectorises a leading consuming instruction into a cheap
    start-offset filter (core's [leading_filter]); a quant OPEN offers
-   none. [filter_led] says whether a pattern's first emitted
-   instruction is such a consuming test. *)
-let filter_led ast =
-  let rec go = function
-    | Ast.Char _ | Ast.Class _ | Ast.Any -> true
-    | Ast.Group x -> go x
-    | Ast.Concat (hd :: _) -> go hd
+   none. [head_filter] measures that filter on a normalised pattern's
+   top-level parts: the leading literal run (the first AND packs up to
+   four chars), one for a leading class, zero for anything else. *)
+let head_filter parts =
+  let rec run k = function
+    | Ast.Char _ :: rest when k < 4 -> run (k + 1) rest
+    | _ -> k
+  in
+  match parts with
+  | (Ast.Class _ | Ast.Any) :: _ -> 1
+  | parts -> run 0 parts
+
+let top_parts = function Ast.Concat parts -> parts | x -> [ x ]
+
+(* Head coalescing and rolling can weaken that filter — [^a][^a]{3} =>
+   [^a]{4} loses it, bb b*? bb b*? => b b{3,}? shrinks it from "bb" to
+   "b", cc*?a cc*?a => (c+?a){2} loses it — and attempt counts must
+   never regress. So while the rewritten head filters less than the
+   source's did, peel one mandatory copy off the repeat that follows
+   the leading literal run, when that copy would extend the filter:
+   X{n,m} => X X{n-1,m-1}, spliced into the top-level parts. The peel
+   is exact for any greediness: the first copy of a qmin >= 1 repeat
+   of a non-nullable body is consumed unconditionally. *)
+let restore_head_filter ~source out =
+  let want = head_filter (top_parts source) in
+  (* would a leading copy of [x] extend a filter of [k] chars? *)
+  let rec extends k x =
+    match top_parts x with
+    | Ast.Char _ :: _ -> true
+    | (Ast.Class _ | Ast.Any) :: _ -> k = 0
+    | Ast.Repeat (y, q) :: _ -> q.Ast.qmin >= 1 && extends k y
     | _ -> false
   in
-  go ast
-
-(* When the source pattern led with a consuming atom but the rewritten
-   one leads with a mandatory counted repeat of a single-byte atom
-   (head coalescing: [^a][^a]{3} => [^a]{4}), peel one copy back off
-   so the filter survives — attempt counts must never regress. The
-   peel is sound for any greediness: the first copy of a qmin >= 1
-   repeat is consumed unconditionally. *)
-let peel_head ast =
-  let peel = function
-    | Ast.Repeat (((Ast.Char _ | Ast.Class _ | Ast.Any) as x), q)
-      when q.Ast.qmin >= 1 ->
+  let rec go parts =
+    let k = head_filter parts in
+    let lead = List.filteri (fun i _ -> i < k) parts in
+    match List.filteri (fun i _ -> i >= k) parts with
+    | Ast.Repeat (x, q) :: rest
+      when k < want && q.Ast.qmin >= 1 && (not (Ast.nullable x))
+           && extends k x ->
       let q' =
         { q with
           Ast.qmin = q.Ast.qmin - 1;
           qmax = Option.map (fun m -> m - 1) q.Ast.qmax }
       in
-      Some (if q'.Ast.qmax = Some 0 then [ x ] else [ x; Ast.Repeat (x, q') ])
-    | _ -> None
+      let tail = if q'.Ast.qmax = Some 0 then [] else [ Ast.Repeat (x, q') ] in
+      go (lead @ top_parts x @ tail @ rest)
+    | _ -> parts
   in
-  match ast with
-  | Ast.Repeat _ as r ->
-    (match peel r with
-     | Some parts -> Desugar.normalize (Ast.Concat parts)
-     | None -> ast)
-  | Ast.Concat (hd :: tl) ->
-    (match peel hd with
-     | Some parts -> Desugar.normalize (Ast.Concat (parts @ tl))
-     | None -> ast)
-  | _ -> ast
+  let parts = top_parts out in
+  let parts' = go parts in
+  if parts' == parts then out else Desugar.normalize (Ast.Concat parts')
 
 let optimize (ast : Ast.t) : Ast.t =
   let rec fixpoint k ast =
@@ -555,5 +601,4 @@ let optimize (ast : Ast.t) : Ast.t =
     if k = 0 || Ast.equal ast ast' then ast' else fixpoint (k - 1) ast'
   in
   let ast = Desugar.normalize ast in
-  let out = fixpoint max_passes ast in
-  if filter_led ast && not (filter_led out) then peel_head out else out
+  restore_head_filter ~source:ast (fixpoint max_passes ast)

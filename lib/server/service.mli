@@ -37,9 +37,11 @@ type config = {
           complement [(?~r)], lookarounds). Extended patterns the
           mid-end cannot rewrite for the ISA are served by the
           derivative engine; they pass the admission gate by policy —
-          the derivative engine is worst-case linear per start
-          position, so there is no backtracking blowup to refuse (their
-          precise analysis reports
+          the derivative engine never backtracks (one O(n) pass per
+          look-free lookaround body per scan, one derivative step per
+          byte an attempt reads; only nested lookaround bodies are
+          evaluated per position), so there is no backtracking blowup
+          to refuse (their precise analysis reports
           [extended-operator-unanalyzed]/[Linear]). The wire protocol
           is unchanged; capability is advertised via the [Health]
           version suffix [+extended]. *)

@@ -163,6 +163,40 @@ let gen_extended_ast_and_input : (Ast.t * string) QCheck2.Gen.t =
   in
   return (ast, input)
 
+(* Lookaround-heavy extended ASTs for the derivative engine's own
+   differential: unlike [gen_extended_sized], lookarounds may sit at any
+   depth — nested in one another, negated, under quantifiers,
+   intersection and complement — so both the one-pass tables (look-free
+   bodies) and the per-position path (look-bearing bodies) are hit. *)
+let rec gen_lookaround_sized n : Ast.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let plain m = gen_ast_sized (max 1 m) in
+  let several () =
+    let* k = int_range 2 3 in
+    list_size (return k) (gen_lookaround_sized (n / k))
+  in
+  if n <= 2 then plain n
+  else
+    frequency
+      [ (2, plain n);
+        (4,
+         let* look = gen_look in
+         let* body = gen_lookaround_sized (n / 2) in
+         return (Ast.Look (look, body)));
+        (3, map (fun xs -> Ast.Concat xs) (several ()));
+        (1, map (fun xs -> Ast.Alt xs) (several ()));
+        (1, map (fun xs -> Ast.Inter xs) (several ()));
+        (1, map (fun x -> Ast.Negate x) (gen_lookaround_sized (n / 2)));
+        (1,
+         let* q = gen_quant in
+         map (fun x -> Ast.Repeat (x, q)) (gen_lookaround_sized (n / 2))) ]
+
+let gen_lookaround_ast_and_input : (Ast.t * string) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* ast = sized_size (int_range 3 14) gen_lookaround_sized in
+  let* input = oneof [ gen_input; gen_extended_input_with_witness ast ] in
+  return (ast, input)
+
 let print_ast ast = Alveare_frontend.Ast.to_pattern ast
 
 let print_ast_and_input (ast, input) =

@@ -10,7 +10,11 @@
      language equivalence on concrete inputs (r&r = r, (?~(?~r))
      matches where r does, De Morgan), plus hand-picked intersection /
      complement / lookaround cases with known spans, including
-     end-of-input edge cases. *)
+     end-of-input edge cases;
+   - span-for-span agreement with the straightforward reference matcher
+     (test/support/deriv_reference.ml) on lookaround-heavy random
+     patterns, so the engine's scan-wide memo, start skip, one-pass
+     lookaround tables and mask-keyed memo change no span. *)
 
 module Gen_ast = Alveare_test_support.Gen_ast
 module Engine = Alveare_derivative.Engine
@@ -152,6 +156,132 @@ let test_look_edge_cases () =
   (* nested lookaround: b preceded by a that is followed by "bc" *)
   check_spans "(?<=a(?=bc))b" "abc abd" [ (1, 2) ]
 
+(* --- Against the reference matcher --------------------------------------- *)
+
+(* The engine shares one memo context per scan, skips starts by first
+   byte and decides look-free lookaround bodies from one-pass tables;
+   the reference (test/support/deriv_reference.ml) does none of that.
+   Spans must agree exactly: the full scan, [search ~from] from inside
+   the input, and [match_at] at every start including 0 and n. *)
+module Reference = Alveare_test_support.Deriv_reference
+
+let reference_divergence ast input =
+  let eng = Engine.of_ast ast and reference = Reference.of_ast ast in
+  let n = String.length input in
+  let show_opt = function
+    | None -> "none"
+    | Some span -> Fmt.str "%a" S.pp_span span
+  in
+  let got = Engine.find_all eng input
+  and want = Reference.find_all reference input in
+  if got <> want then
+    Some (Fmt.str "find_all: engine %s reference %s" (show_spans got)
+            (show_spans want))
+  else
+    let from_mismatch =
+      List.find_map
+        (fun from ->
+           let got = Engine.search ~from eng input
+           and want = Reference.search ~from reference input in
+           if got = want then None
+           else
+             Some (Fmt.str "search ~from:%d: engine %s reference %s" from
+                     (show_opt got) (show_opt want)))
+        [ 1; n / 3; n / 2; n ]
+    in
+    match from_mismatch with
+    | Some _ -> from_mismatch
+    | None ->
+      List.find_map
+        (fun start ->
+           let got = Engine.match_at eng input start
+           and want = Reference.match_at reference input start in
+           if got = want then None
+           else
+             Some (Fmt.str "match_at %d: engine %s reference %s" start
+                     (Fmt.str "%a" Fmt.(option ~none:(any "none") int) got)
+                     (Fmt.str "%a" Fmt.(option ~none:(any "none") int) want)))
+        (List.init (n + 1) Fun.id)
+
+let test_reference_differential () =
+  let prop (ast, input) =
+    match reference_divergence ast input with
+    | None -> true
+    | Some detail -> QCheck2.Test.fail_reportf "%s" detail
+  in
+  let cell =
+    QCheck2.Test.make ~count:500 ~name:"engine = reference matcher"
+      ~print:Gen_ast.print_ast_and_input Gen_ast.gen_lookaround_ast_and_input
+      prop
+  in
+  QCheck2.Test.check_exn cell
+
+(* Edge cases, each with known spans and checked against the reference. *)
+let test_reference_edges () =
+  let check pattern input expected =
+    check_spans pattern input expected;
+    match
+      reference_divergence (Desugar.pattern_exn ~extended:true pattern) input
+    with
+    | None -> ()
+    | Some detail -> Alcotest.failf "%s on %S: %s" pattern input detail
+  in
+  (* unbounded bodies: the tables see arbitrarily far back / ahead *)
+  check "(?<=a.*)b" "b ab b" [ (3, 4); (5, 6) ];
+  check "b(?=.*a)" "b ba b" [ (0, 1); (2, 3) ];
+  check "(?<=a[^x]*)b" "bxab xb" [ (3, 4) ];
+  (* p = 0: a lookbehind sees nothing, its negation holds *)
+  check "(?<!.)x" "xx" [ (0, 1) ];
+  check "(?<=.)x" "xx" [ (1, 2) ];
+  (* p = n: a lookahead sees nothing, its negation holds; a zero-width
+     root is tried at end of input *)
+  check "x(?!.)" "xx" [ (1, 2) ];
+  check "(?<=b)" "ab" [ (2, 2) ];
+  check "(?=b)" "ab" [ (1, 1) ];
+  (* nullable roots: no start is skipped *)
+  check "a*(?<=b)" "ba" [ (1, 1) ];
+  check "(?<=a)|b" "cab" [ (2, 2) ];
+  check "(?~b)&(?=a).*" "ab" [ (0, 2) ];
+  (* negated looks, with look-free and look-bearing bodies *)
+  check "(?<![ab])c" "acbc cc" [ (5, 6); (6, 7) ];
+  check "c(?![ab])" "cacbc c" [ (4, 5); (6, 7) ];
+  check "(?<!a(?=b))b" "abcb" [ (3, 4) ];
+  check "(?<!(?<=x)a)b" "xab ab" [ (5, 6) ];
+  check "b(?!c(?<=bc))" "bcbd" [ (2, 3) ];
+  (* several lookarounds in one pattern, each its own table *)
+  check "(?<=a)b(?!c)" "abc abd cb" [ (5, 6) ];
+  check "(?<![0-9])[a-z]+(?=[0-9])" "x1 ab2 9cd3" [ (0, 1); (3, 5); (9, 10) ]
+
+(* The policy workload's rules over a planted stream: every rule on the
+   derivative engine, including the lookbehind rules whose per-position
+   evaluation the one-pass tables replaced. *)
+let test_reference_policy () =
+  let rng = Alveare_workloads.Rng.create 31 in
+  let asts =
+    List.map (Desugar.pattern_exn ~extended:true)
+      (Alveare_workloads.Policy.patterns rng 16)
+  in
+  let stream =
+    Alveare_workloads.Streams.generate
+      ~rng:(Alveare_workloads.Rng.create 32) ~size:2048
+      ~background:Alveare_workloads.Policy.background
+      ~plant:(Alveare_workloads.Streams.plant_of_patterns ~asts)
+      ~plant_every:256 ()
+  in
+  let input = stream.Alveare_workloads.Streams.data in
+  let hits =
+    List.fold_left
+      (fun hits ast ->
+         let got = Engine.find_all (Engine.of_ast ast) input
+         and want = Reference.find_all (Reference.of_ast ast) input in
+         if got <> want then
+           Alcotest.failf "%s: engine %s reference %s" (Ast.to_pattern ast)
+             (show_spans got) (show_spans want);
+         hits + List.length got)
+      0 asts
+  in
+  if hits = 0 then Alcotest.fail "no policy rule matched the planted stream"
+
 (* --- Algebraic identities as language equivalence ---------------------- *)
 
 let inputs_for n =
@@ -268,6 +398,13 @@ let () =
           Alcotest.test_case "lookbehind" `Quick test_lookbehind;
           Alcotest.test_case "lookaround edge cases" `Quick
             test_look_edge_cases ] );
+      ( "reference",
+        [ Alcotest.test_case "random lookarounds vs reference" `Quick
+            test_reference_differential;
+          Alcotest.test_case "lookaround edges vs reference" `Quick
+            test_reference_edges;
+          Alcotest.test_case "policy rules vs reference" `Quick
+            test_reference_policy ] );
       ( "lowering",
         [ Alcotest.test_case "random lowering vs oracle" `Quick
             test_lowering_differential;

@@ -100,10 +100,15 @@ let test_dead_branches () =
    | _ -> ())
 
 let test_repeat_coalescing () =
-  same "baa* -> ba+" (opt "baa*") (Desugar.pattern_exn "ba+");
+  same "[xy]aa* -> [xy]a+" (opt "[xy]aa*") (Desugar.pattern_exn "[xy]a+");
   (* at the pattern head the coalesced repeat is peeled back so the
-     scanner keeps its leading consuming-instruction filter *)
+     scanner keeps its leading consuming-instruction filter, and its
+     whole literal run: ba+ would filter on "b" where baa* filters on
+     "ba" (12 attempts instead of 0 on "bbbbbbbbbbbb") *)
   same "aa* stays spelled" (opt "aa*") (Desugar.pattern_exn "aa*");
+  same "baa* stays spelled" (opt "baa*") (Desugar.pattern_exn "baa*");
+  same "bbb*?bbb*? keeps its bb head" (opt "(bb)b*?(bb)b*?")
+    (Desugar.pattern_exn "bbb{2,}?");
   same "a*a* -> a*" (opt "a*a*") (Desugar.pattern_exn "a*");
   same "x{1,2}x{1,3} -> x{2,5}" (opt "x{1,2}x{1,3}")
     (Desugar.pattern_exn "x{2,5}");
@@ -250,6 +255,37 @@ let qcheck_rolling_differential =
       in
       Diff.check_opt_case replicated (input ^ input) = [])
 
+(* Counterexamples found by the randomized properties above, pinned so
+   they run on every seed: nest fusion under a ranged outer repeat
+   stranding a remainder shorter than the inner minimum, or under a lazy
+   one reordering the totals; coalescing a body with matches of several
+   lengths; and head coalescing or rolling weakening the leading
+   filter. *)
+let test_recorded_counterexamples () =
+  let oracle pat input =
+    let raw = Desugar.pattern_exn pat in
+    let show = Fmt.(str "%a" (list ~sep:semi Alveare_engine.Semantics.pp_span)) in
+    let a = Backtrack.find_all raw input in
+    let b = Backtrack.find_all (Opt.optimize raw) input in
+    if a <> b then
+      Alcotest.failf "%s on %S: raw %s, optimised %s" pat input (show a) (show b)
+  in
+  oracle "(a{3,4}){2,}" (String.make 18 'a');
+  oracle "([ac-e]{3,5})+" "eedaeaccdedcccaaa";
+  oracle "([^a]{3,5})+" "bbbbbb";
+  let full pat input =
+    match Diff.check_opt_case (Desugar.pattern_exn pat) input with
+    | [] -> ()
+    | f :: _ -> Alcotest.failf "%a" Diff.pp_failure f
+  in
+  full "baa*" "bbbbbbbbbbbb";
+  full "(bb)b*?(bb)b*?" "aaaaaaaaaaaaaaaabaaaaaaaaaaaaaaaab";
+  full "cc*?acc*?a" "";
+  full "(.).{2,}?a(.).{2,}?a" "";
+  full "([ab]|a|ac){2,}([ab]|a|ac){2,}" "acaaacaa";
+  let s = "aaaaaaaaaaaaaaccaacaccacaaccccacaaaaz" in
+  full "([ac]{3,}?){2,}?[^a]([ac]{3,}?){2,}?[^a]" (s ^ s)
+
 (* --- Code-size effect ------------------------------------------------------ *)
 
 let code_size ~optimize pat = Compile.code_size (Compile.compile_exn ~optimize pat)
@@ -300,6 +336,8 @@ let () =
         [ Alcotest.test_case "corpus" `Quick test_span_preservation_corpus;
           QCheck_alcotest.to_alcotest qcheck_preserves_oracle;
           QCheck_alcotest.to_alcotest qcheck_preserves_simulator;
-          QCheck_alcotest.to_alcotest qcheck_rolling_differential ] );
+          QCheck_alcotest.to_alcotest qcheck_rolling_differential;
+          Alcotest.test_case "recorded counterexamples" `Quick
+            test_recorded_counterexamples ] );
       ( "code size",
         [ Alcotest.test_case "improvements" `Quick test_code_size_improvements ] ) ]
